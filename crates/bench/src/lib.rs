@@ -13,9 +13,8 @@
 //! * `OFAR_H=<n>` — override `h` explicitly;
 //! * `OFAR_CSV=<dir>` — additionally write each table as CSV.
 //!
-//! The `benches/` directory holds the criterion wrappers: each prints the
-//! quick-scale series of its figure and then times a representative
-//! simulation slice so `cargo bench` yields both data and performance.
+//! Host throughput is measured by the repository benchmark
+//! (`perfbench/`), not here.
 
 use ofar_core::{Scale, Table};
 use std::io::Write;

@@ -693,17 +693,63 @@ impl Llr {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, bitwise) over `data`. Small and
-/// allocation-free; the simulator CRCs a few words per transfer, so a
-/// lookup table would be wasted cache.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables for [`crc32`]: `CRC32_TABLES[0][b]` is the CRC
+/// register after shifting byte `b` through it, and `CRC32_TABLES[k][b]`
+/// the same followed by `k` zero bytes, so eight lookups fold eight
+/// input bytes at once. Built at compile time (8 KiB).
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over `data`, slicing by 8 bytes.
+/// Allocation-free. One function serves every checksum in the
+/// simulator: the few header words LLR CRCs per transfer, and the
+/// megabyte-sized snapshots, checkpoints and store objects, whose
+/// save/restore cost a bit-by-bit loop would dominate.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = !0u32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -712,6 +758,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
     use ofar_topology::{GroupId, NodeId};
+    use proptest::prelude::*;
 
     fn pkt(id: u64) -> Packet {
         Packet {
@@ -736,6 +783,47 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The bit-by-bit definition of the same CRC: the oracle the table
+    /// version is checked against.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_equals_bitwise_at_every_length_and_alignment() {
+        // Every head/body/tail split of the 8-byte slicing, at every
+        // start offset within a word.
+        let mut x = 0x2012_u64;
+        let buf: Vec<u8> = (0..8 + 256)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 56) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=256 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "start {start}, len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_table_equals_bitwise_on_arbitrary_bytes(
+            data in prop::collection::vec(any::<u8>(), 0..2048),
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
     }
 
     #[test]

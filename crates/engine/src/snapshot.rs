@@ -19,12 +19,17 @@
 //! magic            8 B   b"OFARSNAP"
 //! version          u32   SNAPSHOT_VERSION
 //! fingerprint      u32   CRC-32 of the CONFIG section payload
+//! length           u64   total file length in bytes, trailer included
 //! section*               tag u8, len u32, crc u32, payload
 //!   CONFIG (1)           canonical SimConfig + mechanism name
 //!   POLICY (2)           opaque mechanism state (Policy::save_state)
 //!   STATE  (3)           routers, queues, stats, faults, LLR, RNGs
 //! file checksum    u32   CRC-32 of every preceding byte
 //! ```
+//!
+//! The declared *length* is checked before any checksum is computed, so
+//! a truncated (or over-long) file is refused in O(1) rather than after a
+//! pass over its bytes.
 //!
 //! The *fingerprint* is the identity of the simulated machine: restoring
 //! into a network whose own canonical config/mechanism encoding hashes
@@ -59,7 +64,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OFARSNAP";
 /// v3: the POLICY section of the RNG-carrying mechanisms encodes a
 /// *lane table* (one RNG stream per shard) instead of a single stream —
 /// see `ofar-routing`'s `state::put_lanes`.
-pub const SNAPSHOT_VERSION: u32 = 3;
+///
+/// v4: the header declares the total file length (a `u64` after the
+/// fingerprint), so truncation is refused before any checksum pass.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Section tag: canonical configuration + mechanism name.
 pub(crate) const SEC_CONFIG: u8 = 1;
@@ -95,8 +103,9 @@ pub enum SnapshotError {
         /// Mechanism recorded in the file.
         found: String,
     },
-    /// The file ends before its declared length (or is shorter than the
-    /// fixed header).
+    /// The file is shorter or longer than the length its header
+    /// declares, is shorter than the fixed header, or a section runs past
+    /// the end of the file.
     Truncated,
     /// The whole-file checksum does not match: the file was corrupted
     /// after (or while) being written.
@@ -418,12 +427,19 @@ pub fn config_fingerprint(cfg: &SimConfig, mechanism: &str) -> u32 {
 // File framing
 // ---------------------------------------------------------------------
 
+/// Bytes before the first section: magic, version, fingerprint, length.
+const HEADER_LEN: usize = 24;
+/// Bytes of a section header: tag, payload length, payload CRC.
+const SECTION_HEADER_LEN: usize = 9;
+
 /// Assemble a complete snapshot file from its three section payloads.
 pub(crate) fn frame(config: &[u8], policy: &[u8], state: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + config.len() + policy.len() + state.len() + 32);
+    let len = HEADER_LEN + 3 * SECTION_HEADER_LEN + config.len() + policy.len() + state.len() + 4;
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&crc32(config).to_le_bytes());
+    out.extend_from_slice(&(len as u64).to_le_bytes());
     for (tag, payload) in [
         (SEC_CONFIG, config),
         (SEC_POLICY, policy),
@@ -436,6 +452,7 @@ pub(crate) fn frame(config: &[u8], policy: &[u8], state: &[u8]) -> Vec<u8> {
     }
     let file_crc = crc32(&out);
     out.extend_from_slice(&file_crc.to_le_bytes());
+    debug_assert_eq!(out.len(), len);
     out
 }
 
@@ -448,43 +465,48 @@ pub(crate) struct Frame<'a> {
     pub(crate) state: &'a [u8],
 }
 
-/// Validate the envelope (magic, version, per-section and whole-file
-/// checksums) and split it into its sections. The state bytes are
-/// untrusted until the caller decodes them, but they are at least the
-/// bytes that were written.
+/// Validate the envelope (magic, declared length, whole-file and
+/// per-section checksums, version) and split it into its sections. The
+/// state bytes are untrusted until the caller decodes them, but they are
+/// at least the bytes that were written.
 pub(crate) fn parse_frame(bytes: &[u8]) -> Result<Frame<'_>, SnapshotError> {
-    // Fixed header (16) + three empty sections (3 × 9) + trailer (4).
-    if bytes.len() < 16 + 3 * 9 + 4 {
+    // Fixed header + three empty sections + trailer.
+    if bytes.len() < HEADER_LEN + 3 * SECTION_HEADER_LEN + 4 {
+        return Err(SnapshotError::Truncated);
+    }
+    // "Does not even look like a snapshot" is named first, on the raw
+    // prefix, for nicer operator errors.
+    if bytes[..8] != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let declared = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+    if declared != bytes.len() as u64 {
+        // Another format version need not declare its length here at all.
+        if version != SNAPSHOT_VERSION {
+            return Err(SnapshotError::UnsupportedVersion { found: version });
+        }
         return Err(SnapshotError::Truncated);
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 4);
     let stored = u32::from_le_bytes(trailer.try_into().unwrap());
     if crc32(body) != stored {
-        // Distinguish "does not even look like a snapshot" for nicer
-        // operator errors: magic is checked on the raw prefix first.
-        if body[..8] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
         return Err(SnapshotError::FileChecksum);
     }
-    if body[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(body[8..12].try_into().unwrap());
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
     let fingerprint = u32::from_le_bytes(body[12..16].try_into().unwrap());
     let mut sections: [Option<&[u8]>; 3] = [None, None, None];
-    let mut pos = 16;
+    let mut pos = HEADER_LEN;
     while pos < body.len() {
-        if pos + 9 > body.len() {
+        if pos + SECTION_HEADER_LEN > body.len() {
             return Err(SnapshotError::Truncated);
         }
         let tag = body[pos];
         let len = u32::from_le_bytes(body[pos + 1..pos + 5].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(body[pos + 5..pos + 9].try_into().unwrap());
-        pos += 9;
+        pos += SECTION_HEADER_LEN;
         let end = pos.checked_add(len).ok_or(SnapshotError::Truncated)?;
         if end > body.len() {
             return Err(SnapshotError::Truncated);
@@ -666,8 +688,39 @@ mod tests {
     fn truncation_is_detected_at_every_length() {
         let f = frame(b"cfg", b"", b"some state");
         for n in 0..f.len() {
-            assert!(parse_frame(&f[..n]).is_err(), "truncation to {n} accepted");
+            assert_eq!(
+                parse_frame(&f[..n]).unwrap_err(),
+                SnapshotError::Truncated,
+                "truncation to {n}"
+            );
         }
+    }
+
+    #[test]
+    fn declared_length_is_the_file_length() {
+        let f = frame(b"cfg", b"pol", b"state");
+        let declared = u64::from_le_bytes(f[16..24].try_into().unwrap());
+        assert_eq!(declared, f.len() as u64);
+        // Appended bytes are refused before any checksum, like a cut.
+        let mut long = f.clone();
+        long.push(0);
+        assert_eq!(parse_frame(&long).unwrap_err(), SnapshotError::Truncated);
+    }
+
+    #[test]
+    fn previous_version_layout_is_refused_as_unsupported() {
+        // A v3 file has no length field: drop it, patch the version and
+        // re-seal, and the reader names the version, not a truncation.
+        let mut f = frame(b"cfg", b"pol", b"state");
+        f.drain(16..24);
+        f[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let n = f.len();
+        let crc = crc32(&f[..n - 4]);
+        f[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            parse_frame(&f).unwrap_err(),
+            SnapshotError::UnsupportedVersion { found: 3 }
+        );
     }
 
     #[test]

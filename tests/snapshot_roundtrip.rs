@@ -300,7 +300,7 @@ fn garbage_and_empty_files_are_refused() {
 /// difference between two valid runs.
 fn flip_bit_in_section(bytes: &[u8], idx: usize) -> Vec<u8> {
     let mut out = bytes.to_vec();
-    let mut pos = 16;
+    let mut pos = 24;
     for i in 0..=idx {
         let len = u32::from_le_bytes(out[pos + 1..pos + 5].try_into().unwrap()) as usize;
         if i == idx {
